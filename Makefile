@@ -79,12 +79,13 @@ trace-smoke:
 serve-smoke:
 	$(GO) run ./cmd/redoserve -bench -out BENCH_serve.json -baseline BENCH_serve.json
 
-# bench runs the recovery benchmarks and the sequential-vs-parallel
-# comparison; redobench writes BENCH_parallel.json and fails when the
+# bench runs the recovery benchmarks, the per-method forward-path
+# (Ingest) benchmarks and the sequential-vs-parallel comparison;
+# redobench writes BENCH_parallel.json and fails when the
 # parallel engine breaks its perf contract (slower than sequential) or
 # when allocs_per_op regresses >10% against the checked-in baseline.
 bench: bench-compare
-	$(GO) test -run xxx -bench 'Recovery|Campaign' -benchmem .
+	$(GO) test -run xxx -bench 'Recovery|Campaign|Ingest' -benchmem .
 
 # bench-compare benchmarks recovery against the checked-in
 # BENCH_parallel.json baseline: it prints a delta table (time and

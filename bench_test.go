@@ -294,6 +294,99 @@ func BenchmarkRecoveryGenLSNMV(b *testing.B) {
 	benchMethodRecovery(b, "genlsn+mv", func(s *model.State) method.DB { return method.NewGenLSNMV(s) })
 }
 
+// --- Forward processing: Exec plus the background writer, per method ---
+
+// The ingest schedule of the bare fixture: 1024 pages, FlushOne after an
+// operation with probability 0.3, a log force every 5 operations and a
+// checkpoint every 1024 (the schedule perfbench's ingest loop runs).
+const (
+	ingestOps             = 16384
+	ingestPages           = 1024
+	ingestFlushProb       = 0.3
+	ingestForceEvery      = 5
+	ingestCheckpointEvery = 1024
+)
+
+// benchIngest times forward processing one operation per iteration:
+// Exec, then the background writer and the periodic force and
+// checkpoint, over a history gen draws on the fixture's pages. A fresh
+// DB starts (untimed) every ingestOps operations. It reports ns/op,
+// allocs/op and the log bytes each operation wrote.
+func benchIngest(b *testing.B, mk sim.Factory, gen func(n int, pages []model.Var, seed int64) []*model.Op) {
+	pages := workload.Pages(ingestPages)
+	s0 := workload.InitialState(pages)
+	ops := gen(ingestOps, pages, 42)
+	rng := rand.New(rand.NewSource(7))
+	var db method.DB
+	logBytes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(ops)
+		if j == 0 {
+			b.StopTimer()
+			if db != nil {
+				logBytes += db.Stats().LogBytes
+			}
+			db = mk(s0.Clone())
+			b.StartTimer()
+		}
+		if err := db.Exec(ops[j]); err != nil {
+			b.Fatal(err)
+		}
+		if rng.Float64() < ingestFlushProb {
+			db.FlushOne()
+		}
+		if (j+1)%ingestForceEvery == 0 {
+			db.FlushLog()
+		}
+		if (j+1)%ingestCheckpointEvery == 0 {
+			if err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	logBytes += db.Stats().LogBytes
+	b.ReportMetric(float64(logBytes)/float64(b.N), "logB/op")
+}
+
+// Every method runs the bare fixture's hot-page history (single-page
+// read-modify-write, legal for all of them) except GenLSN, which runs
+// its own multi-page-read workload so flush-order dependencies arise.
+
+func readThree(n int, pages []model.Var, seed int64) []*model.Op {
+	return workload.ReadManyWriteOne(n, pages, 3, seed)
+}
+
+func BenchmarkIngestLogical(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewLogical(s) }, workload.HotPage)
+}
+
+func BenchmarkIngestPhysical(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewPhysical(s) }, workload.HotPage)
+}
+
+func BenchmarkIngestPhysiological(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewPhysiological(s) }, workload.HotPage)
+}
+
+func BenchmarkIngestPhysiologicalDPT(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewPhysiologicalDPT(s) }, workload.HotPage)
+}
+
+func BenchmarkIngestGenLSN(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewGenLSN(s) }, readThree)
+}
+
+func BenchmarkIngestGenLSNMV(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewGenLSNMV(s) }, readThree)
+}
+
+func BenchmarkIngestGroupLSN(b *testing.B) {
+	benchIngest(b, func(s *model.State) method.DB { return method.NewGroupLSN(s) }, workload.HotPage)
+}
+
 // --- Parallel redo recovery: partitioned replay vs Figure 6 ---
 
 // heavyCrashedDB builds one crashed physiological DB: heavy single-page

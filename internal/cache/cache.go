@@ -16,8 +16,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"redotheory/internal/core"
 	"redotheory/internal/graph"
@@ -29,6 +30,7 @@ import (
 
 // page is a cached page.
 type page struct {
+	id   model.Var
 	data model.Value
 	// pageLSN is the LSN of the last operation that updated the page.
 	pageLSN core.LSN
@@ -59,6 +61,9 @@ type Manager struct {
 	store *storage.Store
 	log   *wal.Manager
 	pages map[model.Var]*page
+	// dirty is the dirty-page table: the dirty pages in id order,
+	// maintained as pages are dirtied, cleaned, and discarded.
+	dirty []*page
 	deps  []Dep
 	// EnforceWAL can be cleared by fault injection to demonstrate what
 	// breaks without the write-ahead rule.
@@ -112,7 +117,7 @@ func (m *Manager) PageLSN(id model.Var) core.LSN {
 func (m *Manager) ApplyWrite(id model.Var, data model.Value, lsn core.LSN) {
 	p, ok := m.pages[id]
 	if !ok {
-		p = &page{}
+		p = &page{id: id}
 		m.pages[id] = p
 	}
 	if m.multiVersion && p.dirty {
@@ -124,6 +129,25 @@ func (m *Manager) ApplyWrite(id model.Var, data model.Value, lsn core.LSN) {
 	if !p.dirty {
 		p.dirty = true
 		p.recLSN = lsn
+		i, _ := m.dirtySlot(id)
+		m.dirty = slices.Insert(m.dirty, i, p)
+	}
+}
+
+// dirtySlot returns where the page belongs in the dirty-page table and
+// whether it is there.
+func (m *Manager) dirtySlot(id model.Var) (int, bool) {
+	return slices.BinarySearchFunc(m.dirty, id, func(p *page, id model.Var) int { return cmp.Compare(p.id, id) })
+}
+
+// markClean clears a page's dirty state and drops it from the dirty-page
+// table.
+func (m *Manager) markClean(p *page) {
+	p.dirty = false
+	p.older = nil
+	p.opsSince = nil
+	if i, ok := m.dirtySlot(p.id); ok {
+		m.dirty = slices.Delete(m.dirty, i, i+1)
 	}
 }
 
@@ -185,9 +209,7 @@ func (m *Manager) Flush(id model.Var) error {
 		_ = err
 	}
 	m.store.Write(id, p.data, p.pageLSN)
-	p.dirty = false
-	p.older = nil
-	p.opsSince = nil
+	m.markClean(p)
 	m.Flushes++
 	m.rec.Inc(obs.MCacheFlushes)
 	m.rec.Emit(obs.Event{Type: obs.EvCacheFlush, Page: string(id), LSN: int64(p.pageLSN)})
@@ -237,9 +259,7 @@ func (m *Manager) FlushGroup(ids []model.Var) error {
 	m.rec.Inc(obs.MCacheGroups)
 	for _, id := range ids {
 		p := m.pages[id]
-		p.dirty = false
-		p.older = nil
-		p.opsSince = nil
+		m.markClean(p)
 		m.Flushes++
 		m.rec.Inc(obs.MCacheFlushes)
 		m.rec.Emit(obs.Event{Type: obs.EvCacheFlush, Page: string(id), LSN: int64(p.pageLSN)})
@@ -268,35 +288,71 @@ func (m *Manager) pruneDeps() {
 // dependency cycle, which the write graph's acyclicity precludes for
 // well-formed histories).
 func (m *Manager) FlushAll() error {
-	for {
+	return m.drain(m.CanFlush, m.Flush, "permanently blocked: flush dependencies form a cycle")
+}
+
+// drain runs rounds over the dirty-page table in id order, flushing
+// every page the predicate admits, until the table is empty or a round
+// makes no progress.
+func (m *Manager) drain(can func(model.Var) bool, flush func(model.Var) error, stuck string) error {
+	for len(m.dirty) > 0 {
 		progressed := false
-		for _, id := range m.DirtyPages() {
-			if m.CanFlush(id) {
-				if err := m.Flush(id); err != nil {
+		for i := 0; i < len(m.dirty); {
+			p := m.dirty[i]
+			if can(p.id) {
+				if err := flush(p.id); err != nil {
 					return err
 				}
 				progressed = true
 			}
-		}
-		if len(m.DirtyPages()) == 0 {
-			return nil
+			// A clean page left the table and the next page slid into
+			// slot i; a page still dirty (an older version installed)
+			// stays put.
+			if i < len(m.dirty) && m.dirty[i] == p {
+				i++
+			}
 		}
 		if !progressed {
-			return fmt.Errorf("cache: %d dirty pages permanently blocked: flush dependencies form a cycle", len(m.DirtyPages()))
+			return fmt.Errorf("cache: %d dirty pages %s", len(m.dirty), stuck)
+		}
+	}
+	return nil
+}
+
+// DirtyPages returns a copy of the dirty page ids in sorted order.
+func (m *Manager) DirtyPages() []model.Var {
+	out := make([]model.Var, len(m.dirty))
+	for i, p := range m.dirty {
+		out[i] = p.id
+	}
+	return out
+}
+
+// DirtyCount returns the number of dirty pages.
+func (m *Manager) DirtyCount() int { return len(m.dirty) }
+
+// EachDirty calls f on every dirty page in id order until f returns
+// false. f may flush or dirty pages only if it then returns false.
+func (m *Manager) EachDirty(f func(model.Var) bool) {
+	for _, p := range m.dirty {
+		if !f(p.id) {
+			return
 		}
 	}
 }
 
-// DirtyPages returns the dirty page ids in sorted order.
-func (m *Manager) DirtyPages() []model.Var {
-	var out []model.Var
-	for id, p := range m.pages {
-		if p.dirty {
-			out = append(out, id)
+// FirstFlushable returns the lowest-id dirty page that CanFlush admits:
+// the background writer's choice.
+func (m *Manager) FirstFlushable() (model.Var, bool) { return m.firstDirty(m.CanFlush) }
+
+// firstDirty returns the lowest-id dirty page the predicate admits.
+func (m *Manager) firstDirty(can func(model.Var) bool) (model.Var, bool) {
+	for _, p := range m.dirty {
+		if can(p.id) {
+			return p.id, true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return "", false
 }
 
 // RecLSN returns the recLSN of a page if it is dirty: the LSN of the
@@ -313,19 +369,21 @@ func (m *Manager) RecLSN(id model.Var) (core.LSN, bool) {
 // and false when the cache is clean. Fuzzy checkpoints record this as the
 // redo scan bound: every operation below it is installed.
 func (m *Manager) MinRecLSN() (core.LSN, bool) {
-	var min core.LSN
-	found := false
-	for _, p := range m.pages {
-		if p.dirty && (!found || p.recLSN < min) {
+	if len(m.dirty) == 0 {
+		return 0, false
+	}
+	min := m.dirty[0].recLSN
+	for _, p := range m.dirty[1:] {
+		if p.recLSN < min {
 			min = p.recLSN
-			found = true
 		}
 	}
-	return min, found
+	return min, true
 }
 
 // Crash discards the cache and all pending dependencies.
 func (m *Manager) Crash() {
 	m.pages = make(map[model.Var]*page)
+	m.dirty = nil
 	m.deps = nil
 }

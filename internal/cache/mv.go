@@ -103,9 +103,7 @@ func (m *Manager) FlushBest(id model.Var) error {
 		m.OnInstall(id, v.lsn)
 	}
 	if v.lsn == p.pageLSN {
-		p.dirty = false
-		p.older = nil
-		p.opsSince = nil
+		m.markClean(p)
 	} else {
 		// Drop the flushed version and everything older; the oldest
 		// retained version's LSN becomes the new recLSN.
@@ -143,21 +141,9 @@ func (m *Manager) CanFlushBest(id model.Var) bool {
 // point. Unlike FlushAll it succeeds even when the newest versions form
 // a dependency cycle, as long as older versions break it.
 func (m *Manager) FlushAllBest() error {
-	for {
-		progressed := false
-		for _, id := range m.DirtyPages() {
-			if m.CanFlushBest(id) {
-				if err := m.FlushBest(id); err != nil {
-					return err
-				}
-				progressed = true
-			}
-		}
-		if len(m.DirtyPages()) == 0 {
-			return nil
-		}
-		if !progressed {
-			return fmt.Errorf("cache: %d dirty pages blocked even version-at-a-time", len(m.DirtyPages()))
-		}
-	}
+	return m.drain(m.CanFlushBest, m.FlushBest, "blocked even version-at-a-time")
 }
+
+// FirstFlushableBest returns the lowest-id dirty page with some
+// installable version: the version-at-a-time background writer's choice.
+func (m *Manager) FirstFlushableBest() (model.Var, bool) { return m.firstDirty(m.CanFlushBest) }

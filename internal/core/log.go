@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"redotheory/internal/conflict"
 	"redotheory/internal/graph"
@@ -29,39 +28,23 @@ type Record struct {
 	LSN    LSN
 	Op     *model.Op
 	Labels map[string]string
-	// size caches the simulated wire size, sealed by SetSizeBytes at
-	// append/label time so SizeBytes never re-parses the "bytes" label
-	// on the hot path.
-	size  int
-	sized bool
+	// size is the simulated wire size, sealed by SetSizeBytes at append
+	// time.
+	size int
 }
 
-// SetSizeBytes caches the record's simulated wire size. The log
-// manager calls it when it attaches the "bytes" label at append time;
-// the label stays authoritative for decoded legacy records that never
-// pass through SetSizeBytes.
+// SetSizeBytes seals the record's simulated wire size; the log manager
+// calls it at append time. Negative sizes clamp to 0.
 func (r *Record) SetSizeBytes(n int) {
 	if n < 0 {
 		n = 0
 	}
-	r.size, r.sized = n, true
+	r.size = n
 }
 
-// SizeBytes returns the simulated wire size recorded by the log
-// manager, or 0 when absent. The cached size set at append time is
-// preferred; decoded legacy records fall back to parsing the "bytes"
-// label per call — without caching the result, so concurrently read
-// records stay race-free.
-func (r *Record) SizeBytes() int {
-	if r.sized {
-		return r.size
-	}
-	n, err := strconv.Atoi(r.Labels["bytes"])
-	if err != nil {
-		return 0
-	}
-	return n
-}
+// SizeBytes returns the simulated wire size sealed at append time, or 0
+// when none was.
+func (r *Record) SizeBytes() int { return r.size }
 
 // Log models the paper's log: a sequence of records, one per logged
 // operation, whose order is consistent with the conflict order. In

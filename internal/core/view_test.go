@@ -93,33 +93,18 @@ func TestViewCacheReuse(t *testing.T) {
 	}
 }
 
-// TestRecordSizeBytes: the append-time cache is authoritative and
-// parse-free; decoded legacy records (labels only, never sealed) fall
-// back to parsing the "bytes" label per call; absent both, zero.
+// TestRecordSizeBytes: the size sealed at append time is returned as
+// is, a record never sealed reports zero, and negative sizes clamp.
 func TestRecordSizeBytes(t *testing.T) {
-	sealed := &Record{Labels: map[string]string{"bytes": "999"}}
+	sealed := &Record{}
 	sealed.SetSizeBytes(42)
 	if got := sealed.SizeBytes(); got != 42 {
-		t.Errorf("sealed record: SizeBytes = %d, want the cached 42 over the label's 999", got)
-	}
-
-	legacy := &Record{Labels: map[string]string{"bytes": "17"}}
-	if got := legacy.SizeBytes(); got != 17 {
-		t.Errorf("legacy record: SizeBytes = %d, want 17 parsed from the label", got)
-	}
-	// Parsing is per-call, never cached: a label rewrite is visible.
-	legacy.Labels["bytes"] = "23"
-	if got := legacy.SizeBytes(); got != 23 {
-		t.Errorf("legacy record after label rewrite: SizeBytes = %d, want 23", got)
+		t.Errorf("sealed record: SizeBytes = %d, want 42", got)
 	}
 
 	bare := &Record{}
 	if got := bare.SizeBytes(); got != 0 {
 		t.Errorf("bare record: SizeBytes = %d, want 0", got)
-	}
-	garbled := &Record{Labels: map[string]string{"bytes": "not-a-number"}}
-	if got := garbled.SizeBytes(); got != 0 {
-		t.Errorf("garbled label: SizeBytes = %d, want 0", got)
 	}
 
 	clamped := &Record{}

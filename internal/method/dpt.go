@@ -48,16 +48,15 @@ func (d *PhysiologicalDPT) Checkpoint() error {
 	if !dirty {
 		bound = d.log.NextLSN()
 	}
-	dpt := make(map[model.Var]core.LSN)
-	for _, id := range d.cache.DirtyPages() {
-		// recLSN is not exported per page; the minimum bound plus the
-		// page set is what ARIES needs — the per-page recLSN here is the
-		// page's current LSN lower-bounded by the global bound, which is
-		// conservative but correct. Use the page's recLSN via RecLSN.
-		if lsn, ok := d.cache.RecLSN(id); ok {
-			dpt[id] = lsn
-		}
-	}
+	// The snapshot maps every dirty page to its recLSN, the LSN of its
+	// first update since it was last installed. Analysis starts from it;
+	// the redo test skips a record whose page is absent from the table
+	// or whose LSN is below the page's recLSN.
+	dpt := make(map[model.Var]core.LSN, d.cache.DirtyCount())
+	d.cache.EachDirty(func(id model.Var) bool {
+		dpt[id], _ = d.cache.RecLSN(id)
+		return true
+	})
 	d.log.AppendCheckpoint(dptCheckpoint{bound: bound, dpt: dpt})
 	d.noteCheckpoint()
 	return nil

@@ -140,23 +140,26 @@ func (d *GroupLSN) flushClosure(start model.Var) error {
 // closures), it installs all dirty pages as a single group — the "large
 // atomic transition" the paper warns about, measured by MaxGroupSize.
 func (d *GroupLSN) FlushOne() bool {
-	dirty := d.cache.DirtyPages()
-	if len(dirty) == 0 {
+	if d.cache.DirtyCount() == 0 {
 		return false
 	}
 	tried := graph.NewSet[model.Var]()
-	for _, p := range dirty {
+	flushed := false
+	d.cache.EachDirty(func(p model.Var) bool {
 		if tried.Has(p) {
-			continue
+			return true
 		}
 		for _, q := range d.closure(p) {
 			tried.Add(q)
 		}
-		if err := d.flushClosure(p); err == nil {
-			return true
-		}
+		flushed = d.flushClosure(p) == nil
+		return !flushed
+	})
+	if flushed {
+		return true
 	}
 	// Everything blocked: install the whole dirty set atomically.
+	dirty := d.cache.DirtyPages()
 	if err := d.cache.FlushGroup(dirty); err != nil {
 		return false
 	}

@@ -68,9 +68,10 @@ func (d *Logical) Checkpoint() error {
 // stable state is not modified.
 func (d *Logical) StageCheckpoint() {
 	d.log.Flush()
-	for _, id := range d.cache.DirtyPages() {
+	d.cache.EachDirty(func(id model.Var) bool {
 		d.shadow.StagePage(id, storage.Page{Data: d.cache.Read(id), LSN: d.cache.PageLSN(id)})
-	}
+		return true
+	})
 }
 
 // CompleteCheckpoint performs the second phase: the atomic pointer swing

@@ -282,14 +282,8 @@ type Truncator interface {
 // installation: it may install an older version of a page whose newest
 // version is blocked.
 func (b *base) flushFirstEligibleBest() bool {
-	for _, id := range b.cache.DirtyPages() {
-		if b.cache.CanFlushBest(id) {
-			if err := b.cache.FlushBest(id); err == nil {
-				return true
-			}
-		}
-	}
-	return false
+	id, ok := b.cache.FirstFlushableBest()
+	return ok && b.cache.FlushBest(id) == nil
 }
 
 // Read returns the volatile value of a variable.
@@ -343,14 +337,8 @@ func (b *base) FlushPage(x model.Var) error { return b.cache.Flush(x) }
 // flushFirstEligible installs the first dirty page whose dependencies and
 // WAL gate allow it.
 func (b *base) flushFirstEligible() bool {
-	for _, id := range b.cache.DirtyPages() {
-		if b.cache.CanFlush(id) {
-			if err := b.cache.Flush(id); err == nil {
-				return true
-			}
-		}
-	}
-	return false
+	id, ok := b.cache.FirstFlushable()
+	return ok && b.cache.Flush(id) == nil
 }
 
 // checkpointedUpTo returns the stable-logged operations with LSN strictly

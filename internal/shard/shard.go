@@ -276,6 +276,7 @@ func (d *DB) Exec(op *model.Op) error {
 	vecLabel := encodeVec(vec)
 	depLabel := encodeVec(deps)
 	for _, r := range recs {
+		r.Labels = map[string]string{}
 		r.Labels[LabelTxn] = txn
 		r.Labels[LabelVec] = vecLabel
 		if depLabel != "" {

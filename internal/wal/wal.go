@@ -121,10 +121,6 @@ func (m *Manager) Append(op *model.Op, size int) *core.Record {
 		size = 0
 	}
 	m.bytesTotal += size
-	if r.Labels == nil {
-		r.Labels = map[string]string{}
-	}
-	r.Labels["bytes"] = strconv.Itoa(size)
 	r.SetSizeBytes(size)
 	sum := recordSum(r)
 	m.sums[r.LSN] = sum
