@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover clean
+.PHONY: all build vet test test-short race soak fuzz fuzz-smoke nestedcrash-smoke shard-smoke trace-smoke serve-smoke bench bench-compare bench-full experiments examples tools campaign metrics cover loc clean
 
 all: build vet test
 
@@ -132,6 +132,13 @@ metrics:
 
 cover:
 	$(GO) test -cover ./internal/...
+
+# loc prints the Go line counts, non-test and test, that each change's
+# line ledger in CHANGES.md is measured with (hidden directories such
+# as the benchmark's build output are skipped).
+loc:
+	@echo "non-test Go lines: $$(find . -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -path './.*' -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
 
 clean:
 	$(GO) clean -testcache

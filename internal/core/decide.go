@@ -59,7 +59,8 @@ func DecideRedo(state *model.State, log *Log, checkpoint graph.Set[model.OpID], 
 func DecideRedoObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) *RedoDecision {
 	d := &RedoDecision{
 		// Presized: every logged operation lands in exactly one of the
-		// two sets (see RecoverDenseObserved).
+		// two sets, so capacity hints save the scan's growth
+		// reallocations.
 		RedoSet:   make(graph.Set[model.OpID], log.Len()),
 		Installed: make(graph.Set[model.OpID], log.Len()),
 		// Presized for the worst case (every record admitted): append

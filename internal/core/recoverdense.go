@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"redotheory/internal/dense"
 	"redotheory/internal/graph"
@@ -10,166 +9,77 @@ import (
 	"redotheory/internal/obs"
 )
 
-// RecoverDense is the redo recovery procedure of Figure 6 running on
-// the dense replay representation: the same scan, the same analysis
-// calls, the same redo-test invocations, and the same final state as
-// Recover, but replay recomputes against an interned, slice-backed
-// state instead of the map-backed one, and the per-record read set is
-// assembled in a pooled scratch map. The map/string API is preserved
-// at the edges: state is read up front, mutated only by the final
-// write-back of replayed variables, and returned in the Result exactly
-// as Recover would have left it.
-//
-// Faithfulness rests on the same contract DecideRedo documents: the
-// redo test and analysis function are state-blind, so handing them the
-// pre-replay state (which the dense path never mutates mid-scan) makes
-// the same decisions sequential Recover makes, and deterministic
+// Replay is the replay kernel every dense recovery path shares: it
+// recomputes the records at idx (indexes into lv.Views), in the given
+// order, against the arena, assembling each record's read set in a
+// pooled scratch map and storing its writes with StoreRaw. Sequential
+// recovery runs it once over the whole LSN-ordered redo list; the
+// parallel engine and the instant-restart engine run it per
+// interference component. StoreRaw leaves the presence bitmap alone,
+// so concurrent calls over components with disjoint write sets are
+// race-free; callers Mark the written ids afterwards if they read the
+// bitmap. On failure it returns the failing record's LSN, so
+// concurrent failures can resolve to the smallest one.
+func Replay(ds *dense.State, lv *LogView, idx []int) (LSN, error) {
+	scratch := dense.GetScratch()
+	defer dense.PutScratch(scratch)
+	reads := scratch.Reads
+	for _, i := range idx {
+		v := &lv.Views[i]
+		op := v.Rec.Op
+		clear(reads)
+		rvars := op.Reads()
+		for k, id := range v.Reads {
+			reads[rvars[k]] = ds.Value(id)
+		}
+		ws, err := op.ComputeFrom(reads)
+		if err != nil {
+			return v.Rec.LSN, fmt.Errorf("core: replaying %s: %w", op, err)
+		}
+		wvars := op.Writes()
+		for k, id := range v.Writes {
+			ds.StoreRaw(id, ws[wvars[k]])
+		}
+	}
+	return 0, nil
+}
+
+// RecoverDense is the redo recovery procedure of Figure 6 on the dense
+// replay representation: the decision phase (DecideRedo) followed by
+// one LSN-ordered pass of the Replay kernel over the admitted records.
+// It reaches the same result as Recover because the redo test and
+// analysis function are state-blind (see DecideRedo), and deterministic
 // operations replayed in the same order against the same read values
-// write the same values. The differential tests in internal/method
-// assert state-for-state equality against map-based Recover for every
-// method and workload shape.
+// write the same values. The state is only read until the final
+// write-back of the arena, so a failed replay leaves it untouched.
 func RecoverDense(state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
 	return RecoverDenseObserved(nil, state, log, checkpoint, redo, analyze)
 }
 
-// RecoverDenseObserved is RecoverDense with telemetry. It emits the
-// identical instrumentation schema to RecoverObserved — the umbrella
-// "recover" span, per-record analysis/replay span events when a sink
-// is attached, admit/skip verdict events, and per-recovery phase
-// durations for analysis, replay, and scan — so metrics consumers
-// cannot tell the representations apart. A nil recorder makes it
-// exactly RecoverDense.
+// RecoverDenseObserved is RecoverDense with telemetry: a root "recover"
+// span holding the decide span (with its analysis spans and verdict
+// events) and one replay span. A nil recorder makes it exactly
+// RecoverDense.
 func RecoverDenseObserved(rec *obs.Recorder, state *model.State, log *Log, checkpoint graph.Set[model.OpID], redo RedoTest, analyze AnalyzeFunc) (*Result, error) {
-	lv := DefaultViews.ViewOfObserved(log, rec)
-	ds := dense.FromState(lv.In, state)
-	scratch := dense.GetScratch()
-	defer dense.PutScratch(scratch)
-	// touched collects the ids replay wrote (deduplicated via seen) for
-	// the final write-back into the map-backed state.
-	seen := make([]uint64, (lv.In.Len()+63)/64)
-	touched := make([]uint32, 0, 16)
-
-	res := &Result{
-		State: state,
-		// Presized: every logged operation lands in exactly one of the
-		// two sets, so capacity hints cost nothing and save the growth
-		// reallocations of the scan.
-		RedoSet:   make(graph.Set[model.OpID], log.Len()),
-		Installed: make(graph.Set[model.OpID], log.Len()),
-		// Presized for the worst case (every record admitted): append
-		// growth on a 512-record replay costs ~9 reallocations.
-		Replayed: make([]model.OpID, 0, log.Len()),
-	}
-	rec.Touch(obs.MRedoExamined, obs.MRedoAdmitted, obs.MRedoSkipped)
-	// Hot path: resolved counter handles, raw clock accumulation, and
-	// sink-guarded event payloads — see RecoverObserved for the
-	// rationale.
-	obsOn := rec != nil
-	cExamined := rec.CounterHandle(obs.MRedoExamined)
-	cAdmitted := rec.CounterHandle(obs.MRedoAdmitted)
-	cSkipped := rec.CounterHandle(obs.MRedoSkipped)
-	cCheckpointed := rec.CounterHandle(obs.MRedoCheckpointed)
-	cReplayed := rec.CounterHandle(obs.MReplayRecords)
-	// Root span: a top-level sequential recovery begins its own trace;
-	// one nested inside a supervised attempt joins the attempt's tree.
 	span := rec.StartRootSpan(obs.PhaseRecover, "sequential dense recovery")
-	var analysisTotal, replayTotal time.Duration
-	var analysis Analysis
-	// Per-record micro events (verdicts plus the id-less analysis/replay
-	// span pairs) are batched into one EmitBatch per record: the
-	// emission lock and clock are paid once per record, which is what
-	// keeps full tracing inside the redobench overhead tolerance.
-	var evbuf [5]obs.Event
-	for i, r := range log.Records() {
-		sinking := rec.Sinking()
-		ev := evbuf[:0]
-		if checkpoint.Has(r.Op.ID()) {
-			res.Installed.Add(r.Op.ID())
-			cCheckpointed.Add(1)
-			if sinking {
-				rec.Emit(obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "checkpointed"})
-			}
-			continue
-		}
-		res.Examined++
-		cExamined.Add(1)
-		if analyze != nil {
-			var t0 time.Time
-			if obsOn {
-				t0 = time.Now()
-			}
-			analysis = analyze(state, log, unrecoveredAfter(log, checkpoint, r.LSN), analysis)
-			if obsOn {
-				d := time.Since(t0)
-				analysisTotal += d
-				if sinking {
-					ev = append(ev,
-						obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseAnalysis},
-						obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseAnalysis, Dur: d})
-				}
-			}
-		}
-		if redo(r.Op, state, log, analysis) {
-			res.RedoSet.Add(r.Op.ID())
-			res.Replayed = append(res.Replayed, r.Op.ID())
-			cAdmitted.Add(1)
-			if sinking {
-				ev = append(ev, obs.Event{Type: obs.EvAdmit, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "admit"})
-			}
-			var t0 time.Time
-			if obsOn {
-				t0 = time.Now()
-			}
-			v := &lv.Views[i]
-			clear(scratch.Reads)
-			rvars := r.Op.Reads()
-			for k, id := range v.Reads {
-				scratch.Reads[rvars[k]] = ds.Value(id)
-			}
-			ws, err := r.Op.ComputeFrom(scratch.Reads)
-			if obsOn {
-				d := time.Since(t0)
-				replayTotal += d
-				if sinking {
-					ev = append(ev,
-						obs.Event{Type: obs.EvSpanBegin, Phase: obs.PhaseReplay},
-						obs.Event{Type: obs.EvSpanEnd, Phase: obs.PhaseReplay, Dur: d})
-				}
-			}
-			if err != nil {
-				span.End()
-				return nil, fmt.Errorf("core: replaying %s: %w", r.Op, err)
-			}
-			wvars := r.Op.Writes()
-			for k, id := range v.Writes {
-				ds.Set(id, ws[wvars[k]])
-				if seen[id>>6]&(1<<(id&63)) == 0 {
-					seen[id>>6] |= 1 << (id & 63)
-					touched = append(touched, id)
-				}
-			}
-			cReplayed.Add(1)
-		} else {
-			res.Installed.Add(r.Op.ID())
-			cSkipped.Add(1)
-			if sinking {
-				ev = append(ev, obs.Event{Type: obs.EvSkip, LSN: int64(r.LSN), Op: r.Op.String(), Verdict: "redo-test-false"})
-			}
-		}
-		if len(ev) > 0 {
-			rec.EmitBatch(ev)
-		}
+	defer span.End()
+	lv := DefaultViews.ViewOfObserved(log, rec)
+	decision := DecideRedoObserved(rec, state, log, checkpoint, redo, analyze)
+
+	rs := rec.StartSpan(obs.PhaseReplay)
+	ds := dense.FromState(lv.In, state)
+	_, err := Replay(ds, lv, decision.ReplayIdx)
+	rs.End()
+	if err != nil {
+		return nil, err
 	}
-	// Write-back: install the replayed variables into the map-backed
-	// state, which until here was only read.
-	ds.WriteBack(state, touched)
-	if rec != nil {
-		total := span.End()
-		// One observation per recovery for each nested phase (zero when
-		// the phase did no work), so rollups carry a uniform schema.
-		rec.ObserveDuration("phase."+string(obs.PhaseAnalysis), analysisTotal)
-		rec.ObserveDuration("phase."+string(obs.PhaseReplay), replayTotal)
-		rec.ObserveDuration("phase."+string(obs.PhaseScan), total-analysisTotal-replayTotal)
+	rec.Add(obs.MReplayRecords, int64(len(decision.ReplayIdx)))
+
+	// Write the arena back over the interned variables. Those replay did
+	// not write still hold their projected values, so setting them again
+	// changes nothing.
+	for id := range lv.In.Len() {
+		state.Set(lv.In.Var(uint32(id)), ds.Value(uint32(id)))
 	}
-	return res, nil
+	return decision.Result(state), nil
 }

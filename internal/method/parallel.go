@@ -19,10 +19,6 @@ type ParallelOptions struct {
 	// runtime.GOMAXPROCS(0); 1 degenerates to sequential replay through
 	// the same code path.
 	Workers int
-	// Verify additionally runs sequential Recover on an independent
-	// clone and errors if the two outcomes differ — the equivalence
-	// oracle, for tests and paranoid callers.
-	Verify bool
 	// Recorder, when non-nil, receives phase spans (decide, partition,
 	// replay, merge), per-record redo verdicts, the partition width
 	// histogram, and worker-side replay counters. Falls back to the DB's
@@ -55,15 +51,12 @@ type ParallelResult struct {
 //     conflict graph. This is the installation-graph concurrency argument
 //     of Theorem 3 extended with the write-read edges recomputation
 //     needs (see partition's package comment and DESIGN.md §8).
-//  3. Replay (parallel): a worker pool replays components concurrently
-//     on the dense representation (internal/dense): records are
-//     interned views, the state is a flat value arena, and because
-//     components write disjoint variable ids, each worker stores its
-//     writes straight into its disjoint arena slots — the per-component
-//     overlay of the original engine degenerated into a slice of the
-//     arena, with a pooled scratch read-set map as the only per-worker
-//     buffer. The merge phase then re-marks the presence bitmap and
-//     installs the written ids into the map-backed state.
+//  3. Replay (parallel): a worker pool runs the core.Replay kernel over
+//     components concurrently on the dense arena (internal/dense);
+//     components write disjoint variable ids, so each worker's writes
+//     land in its own arena slots. The merge phase then re-marks the
+//     presence bitmap and installs the written ids into the map-backed
+//     state.
 //
 // Like Recover via the DB surface, it does not modify the crashed DB:
 // it works on the fresh projections StableState, StableLog, and a fresh
@@ -79,8 +72,7 @@ func RecoverParallel(db DB, opts ParallelOptions) (*ParallelResult, error) {
 // test and checkpoint set remain sound on a prefix because both are
 // bounded by installed work, and the certification gate keeps installed
 // work inside the cut. The log must be a prefix of (or equal to)
-// db.StableLog(); the Verify oracle runs sequential recovery over the
-// same prefix.
+// db.StableLog().
 func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelResult, error) {
 	rec := opts.Recorder
 	if rec == nil {
@@ -91,17 +83,7 @@ func RecoverParallelLog(db DB, log *core.Log, opts ParallelOptions) (*ParallelRe
 	if err != nil {
 		return nil, err
 	}
-	out := &ParallelResult{Result: res, Plan: stats, Workers: poolSize(opts.Workers, stats.Components)}
-	if opts.Verify {
-		seq, err := core.Recover(db.StableState(), log, db.Checkpointed(), db.RedoTest(), db.Analyze())
-		if err != nil {
-			return nil, fmt.Errorf("method: sequential verification recovery: %w", err)
-		}
-		if err := res.SameOutcome(seq); err != nil {
-			return nil, fmt.Errorf("method: parallel recovery diverged from sequential: %w", err)
-		}
-	}
-	return out, nil
+	return &ParallelResult{Result: res, Plan: stats, Workers: poolSize(opts.Workers, stats.Components)}, nil
 }
 
 // recoverPartitioned is the engine: decide, partition, replay — all on
@@ -153,17 +135,13 @@ type replayError struct {
 	err error
 }
 
-// replayPlan applies the plan's components to the state, components
-// concurrently across a pool of workers, records inside a component in
-// LSN order, on the dense representation. Workers replay against a
-// shared dense projection of the base state: reads of stable variables
+// replayPlan applies the plan's components to the state: a pool of
+// workers runs the core.Replay kernel over components concurrently,
+// records inside a component in LSN order. Reads of stable variables
 // are concurrent-safe (never written during this phase), and because
-// components write disjoint variable ids, each worker stores its
-// writes directly into its own disjoint arena slots — the overlay of
-// the map-based engine, collapsed into the arena itself. The presence
-// bitmap shares words across ids, so workers skip it (StoreRaw); the
-// sequential merge phase re-marks the written ids and installs them
-// into the map-backed state.
+// components write disjoint variable ids, each worker's StoreRaw
+// writes land in its own arena slots. The sequential merge phase then
+// re-marks the written ids and installs them into the map-backed state.
 func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *partition.DensePlan, workers int) error {
 	if plan.Ops == 0 {
 		// Record zero-duration replay/merge phases so every observed
@@ -187,8 +165,6 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			scratch := dense.GetScratch()
-			defer dense.PutScratch(scratch)
 			for ci := range work {
 				c := plan.Components[ci]
 				// One span per interference component, annotated with its
@@ -202,10 +178,10 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 						Writes: len(c.Writes),
 					})
 				}
-				err := replayComponent(ds, lv, c, scratch.Reads)
+				lsn, err := core.Replay(ds, lv, c.Idx)
 				cs.End()
-				if err.err != nil {
-					errs <- err
+				if err != nil {
+					errs <- replayError{lsn: lsn, err: err}
 					continue
 				}
 				rec.Inc(obs.MReplayComponents)
@@ -245,33 +221,4 @@ func replayPlan(rec *obs.Recorder, state *model.State, lv *core.LogView, plan *p
 	}
 	ms.End()
 	return nil
-}
-
-// replayComponent recomputes a component's operations in LSN order
-// against the shared dense base state plus the component's own
-// accumulated writes, which live directly in the component's disjoint
-// arena slots. The base ids are only read — concurrent with other
-// workers' reads — and no variable this component reads is written by
-// any other component (the partition invariant), so every read
-// observes exactly the value sequential replay would have observed.
-// reads is the worker's pooled scratch map, cleared per record.
-func replayComponent(ds *dense.State, lv *core.LogView, c *partition.DenseComponent, reads model.ReadSet) replayError {
-	for _, vi := range c.Idx {
-		v := &lv.Views[vi]
-		op := v.Rec.Op
-		clear(reads)
-		rvars := op.Reads()
-		for k, id := range v.Reads {
-			reads[rvars[k]] = ds.Value(id)
-		}
-		ws, err := op.ComputeFrom(reads)
-		if err != nil {
-			return replayError{lsn: v.Rec.LSN, err: fmt.Errorf("core: replaying %s: %w", op, err)}
-		}
-		wvars := op.Writes()
-		for k, id := range v.Writes {
-			ds.StoreRaw(id, ws[wvars[k]])
-		}
-	}
-	return replayError{}
 }

@@ -335,33 +335,6 @@ func (r *Recorder) Emit(e Event) {
 	r.sinkMu.Unlock()
 }
 
-// EmitBatch emits a slice of events under one acquisition of the
-// emission lock, assigning consecutive sequence numbers and one shared
-// timestamp (batch members with a preset TS keep it). The replay hot
-// loop batches each record's micro events — admit/skip verdicts and the
-// id-less per-record span pairs, whose timestamps no consumer reads —
-// so the per-event lock and clock cost the tracing overhead gate meters
-// is paid once per record instead of once per event. Events are
-// stamped in place; the caller may reuse the backing array afterwards.
-func (r *Recorder) EmitBatch(events []Event) {
-	if r == nil || len(events) == 0 || !r.hasSink.Load() {
-		return
-	}
-	r.sinkMu.Lock()
-	if r.sink != nil {
-		ts := int64(time.Since(epoch))
-		for i := range events {
-			r.seq++
-			events[i].Seq = r.seq
-			if events[i].TS == 0 {
-				events[i].TS = ts
-			}
-			r.sink.Emit(events[i])
-		}
-	}
-	r.sinkMu.Unlock()
-}
-
 // Span is an in-flight phase measurement. A nil *Span (from a nil
 // recorder) ends harmlessly.
 type Span struct {

@@ -129,59 +129,6 @@ func TestConcurrentEmitTotalOrder(t *testing.T) {
 	}
 }
 
-// TestEmitBatchSequencesAtomically: a batch occupies consecutive
-// sequence numbers even with concurrent emitters, shares one stamped
-// timestamp, preserves preset timestamps, and is a no-op without a
-// sink — the hot replay loop leans on all four.
-func TestEmitBatchSequencesAtomically(t *testing.T) {
-	r := New()
-	var none *Recorder
-	none.EmitBatch([]Event{{Type: EvAdmit}}) // nil recorder is free
-	r.EmitBatch([]Event{{Type: EvAdmit}})    // no sink attached: dropped
-
-	sink := &MemorySink{}
-	r.SetSink(sink)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]Event, 3)
-			for i := 0; i < 50; i++ {
-				buf[0] = Event{Type: EvSpanBegin, Phase: PhaseAnalysis}
-				buf[1] = Event{Type: EvSpanEnd, Phase: PhaseAnalysis}
-				buf[2] = Event{Type: EvAdmit, LSN: int64(i), TS: 7}
-				r.EmitBatch(buf)
-			}
-		}()
-	}
-	wg.Wait()
-	r.SetSink(nil)
-
-	events := sink.Events()
-	if len(events) != 4*50*3 {
-		t.Fatalf("got %d events, want %d", len(events), 4*50*3)
-	}
-	for i, e := range events {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d: batches interleaved", i, e.Seq)
-		}
-	}
-	// Batches are contiguous: every admit directly follows its span pair,
-	// and the pair shares one timestamp while the preset TS survives.
-	for i := 0; i < len(events); i += 3 {
-		if events[i].Type != EvSpanBegin || events[i+1].Type != EvSpanEnd || events[i+2].Type != EvAdmit {
-			t.Fatalf("batch at %d split: %v %v %v", i, events[i].Type, events[i+1].Type, events[i+2].Type)
-		}
-		if events[i].TS != events[i+1].TS {
-			t.Fatalf("batch at %d stamped two timestamps", i)
-		}
-		if events[i+2].TS != 7 {
-			t.Fatalf("preset TS overwritten: %d", events[i+2].TS)
-		}
-	}
-}
-
 // TestSetSinkResetsAmbient: attaching a sink is a trace boundary — a
 // span id stranded on the ambient stack by a panicking recovery must
 // not become the parent of the next trace's spans.

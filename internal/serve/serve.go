@@ -19,8 +19,8 @@
 //     constraint of Section 6.4, transplanted to serve time.
 //
 // The admission gate blocks only touches to not-yet-recovered pages: a
-// read of page p lazily replays p's component (in LSN order, against
-// the dense arena, exactly as one worker of the parallel engine would)
+// read of page p lazily replays p's component (core.Replay, the kernel
+// every recovery path shares, in LSN order against the dense arena)
 // and proceeds; a write additionally drains p's reader components, then
 // appends to the WAL and installs. Touch-order independence is the
 // linearization argument of DESIGN.md §8 one more time: components are
@@ -79,7 +79,8 @@ type compState struct {
 	// blocking is the admission gate.
 	mu sync.Mutex
 	// done flips true exactly once, after replay (or its failure) is
-	// installed. The atomic read is the gate's lock-free fast path.
+	// installed and counted. The atomic read is the gate's lock-free
+	// fast path.
 	done atomic.Bool
 	// err is the sticky replay failure, set before done flips.
 	err error
@@ -312,10 +313,24 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 			Writes: len(c.Writes),
 		})
 	}
-	cs.err = e.replayComponent(c)
+	// The closure invariant makes the replay's reads safe: the component
+	// reads only variables it writes itself or that no component writes,
+	// and the gate holds post-crash writes to the latter until every
+	// reading component is done.
+	_, cs.err = core.Replay(e.ds, e.lv, c.Idx)
+	if cs.err == nil {
+		// Install: presence bits share words across components, so
+		// marking needs the state lock, and WriteBack rejoins the
+		// map-backed state the serving surface reads fallback values from.
+		e.mu.Lock()
+		for _, id := range c.Writes {
+			e.ds.Mark(id)
+		}
+		e.ds.WriteBack(e.state, c.Writes)
+		e.mu.Unlock()
+	}
 	span.End()
 	cs.redone.Add(1)
-	cs.done.Store(true)
 	e.rec.ObserveDuration(obs.MServeGateWait, time.Since(t0))
 	if sweep {
 		e.swept.Add(1)
@@ -336,47 +351,11 @@ func (e *Engine) ensure(ci int, sweep bool) error {
 		e.fullyAt.Store(int64(d))
 		e.doneOnce.Do(func() { close(e.done) })
 	}
+	// done flips last: a caller that sees it on the fast path must also
+	// see the recovered count and the Done channel it implies, or Drain
+	// could return while Result still reports the component unrecovered.
+	cs.done.Store(true)
 	return cs.err
-}
-
-// replayComponent recomputes the component's records in LSN order
-// against the dense arena, storing writes straight into the
-// component's disjoint slots — one worker of the parallel engine, run
-// on demand. The closure invariant makes the reads safe: the component
-// reads only variables it writes itself or variables no component
-// writes, and the admission gate holds post-crash writes to the latter
-// until every reading component is done.
-func (e *Engine) replayComponent(c *partition.DenseComponent) error {
-	scratch := dense.GetScratch()
-	defer dense.PutScratch(scratch)
-	reads := scratch.Reads
-	for _, vi := range c.Idx {
-		v := &e.lv.Views[vi]
-		op := v.Rec.Op
-		clear(reads)
-		rvars := op.Reads()
-		for k, id := range v.Reads {
-			reads[rvars[k]] = e.ds.Value(id)
-		}
-		ws, err := op.ComputeFrom(reads)
-		if err != nil {
-			return fmt.Errorf("serve: replaying %s: %w", op, err)
-		}
-		wvars := op.Writes()
-		for k, id := range v.Writes {
-			e.ds.StoreRaw(id, ws[wvars[k]])
-		}
-	}
-	// Install: presence bits share words across components, so marking
-	// needs the state lock, and WriteBack rejoins the map-backed state
-	// the serving surface reads fallback values from.
-	e.mu.Lock()
-	for _, id := range c.Writes {
-		e.ds.Mark(id)
-	}
-	e.ds.WriteBack(e.state, c.Writes)
-	e.mu.Unlock()
-	return nil
 }
 
 // Drain recovers every remaining component inline (plan order) and

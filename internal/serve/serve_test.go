@@ -2,12 +2,16 @@ package serve
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"redotheory/internal/method"
 	"redotheory/internal/model"
+	"redotheory/internal/obs"
 	"redotheory/internal/sim"
 	"redotheory/internal/workload"
 )
@@ -330,6 +334,113 @@ func TestSweeperAndClientsNeverDeadlock(t *testing.T) {
 	st := eng.Stats()
 	if st.Recovered != st.Components {
 		t.Fatalf("stats report %d/%d components recovered", st.Recovered, st.Components)
+	}
+}
+
+// TestDrainAfterSweeperFinishesSeesFullRecovery: once the sweeper has
+// marked the last component done, a Drain that returns through the
+// fast path must leave the engine fully recovered, so Result succeeds.
+// The test spins until the flag flips and then drains at once, which
+// lands inside any window where done is visible before the component
+// is counted; each run is one chance to hit it.
+func TestDrainAfterSweeperFinishesSeesFullRecovery(t *testing.T) {
+	pages := workload.Pages(8)
+	nf := sim.DefaultMethods()[2] // physiological
+	ops := workload.SinglePage(8, pages, 3, false)
+	db := crashed(t, nf, pages, ops, len(ops), sim.Sched{Seed: 5, ForceOnCrash: true})
+	rec := obs.New()
+	rec.SetSink(obs.NewFlightRecorder(64))
+	for i := 0; i < 2000; i++ {
+		eng, err := New(db, Options{Sweeper: true, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := &eng.comps[len(eng.comps)-1]
+		for !last.done.Load() {
+			runtime.Gosched()
+		}
+		if err := eng.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Result(); err != nil {
+			t.Fatalf("run %d: Drain returned but %v", i, err)
+		}
+		eng.Close()
+	}
+}
+
+// flakyOp is a single-page increment that omits its write once broken
+// is set: a nondeterministic operation, whose replay after the crash
+// must fail instead of installing anything.
+func flakyOp(id model.OpID, p model.Var, broken *atomic.Bool) *model.Op {
+	return model.NewOp(id, "flaky", []model.Var{p}, []model.Var{p}, func(rs model.ReadSet) model.WriteSet {
+		if broken.Load() {
+			return model.WriteSet{}
+		}
+		return model.WriteSet{p: model.IntVal(model.AsInt(rs[p]) + 1)}
+	})
+}
+
+// TestReplayErrorIsTheSameOnEveryPath: sequential, parallel and
+// instant-restart recovery share one replay kernel, so a record that
+// fails to replay surfaces as the same "core: replaying <op>" error on
+// all three. Page a's component fails at its fifth record (flaky#5),
+// page b's at its first (flaky#6): parallel recovery must report the
+// smaller LSN whichever worker fails first, and the serve engine must
+// return the error from Read of a page in the failing component, again
+// on the next Read, and from Result.
+func TestReplayErrorIsTheSameOnEveryPath(t *testing.T) {
+	var broken atomic.Bool
+	a, b := model.Var("a"), model.Var("b")
+	db := method.NewPhysiological(workload.InitialState([]model.Var{a, b}))
+	ops := []*model.Op{
+		model.ReadWrite(1, "upd", []model.Var{a}, []model.Var{a}),
+		model.ReadWrite(2, "upd", []model.Var{a}, []model.Var{a}),
+		model.ReadWrite(3, "upd", []model.Var{a}, []model.Var{a}),
+		model.ReadWrite(4, "upd", []model.Var{a}, []model.Var{a}),
+		flakyOp(5, a, &broken),
+		flakyOp(6, b, &broken),
+	}
+	for _, op := range ops {
+		if err := db.Exec(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.FlushLog()
+	db.Crash()
+	broken.Store(true)
+
+	_, err := method.Recover(db)
+	if err == nil || !strings.HasPrefix(err.Error(), "core: replaying flaky#5: ") {
+		t.Fatalf("sequential recovery: got %v, want core: replaying flaky#5", err)
+	}
+	want := err.Error()
+	for i := 0; i < 20; i++ {
+		_, perr := method.RecoverParallel(db, method.ParallelOptions{Workers: 2})
+		if perr == nil || perr.Error() != want {
+			t.Fatalf("parallel recovery: got %v, want %s", perr, want)
+		}
+	}
+
+	eng, err := New(db, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rerr := eng.Read(a)
+	if rerr == nil || rerr.Error() != want {
+		t.Fatalf("serve Read(a): got %v, want %s", rerr, want)
+	}
+	if _, again := eng.Read(a); again != rerr {
+		t.Fatalf("serve Read(a) error is not sticky: %v, then %v", rerr, again)
+	}
+	if _, berr := eng.Read(b); berr == nil || !strings.HasPrefix(berr.Error(), "core: replaying flaky#6: ") {
+		t.Fatalf("serve Read(b): got %v, want core: replaying flaky#6", berr)
+	}
+	if derr := eng.Drain(); derr != rerr {
+		t.Fatalf("Drain: got %v, want %v", derr, rerr)
+	}
+	if _, res := eng.Result(); res != rerr {
+		t.Fatalf("Result: got %v, want %v", res, rerr)
 	}
 }
 
